@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
-	"repro/internal/selector"
 	"repro/internal/solver"
 	"repro/internal/textio"
 	"repro/internal/workload"
@@ -66,7 +65,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		explain  = fs.Bool("explain", false, "print, per query, the classifiers assigned to answer it")
 		timeout  = fs.Duration("timeout", 0, "abort the solve after this wall time (e.g. 500ms, 2s; 0 = no limit)")
 		stats    = fs.Bool("stats", false, "print solve statistics (phase timings, components, engine choices)")
-		selPath  = fs.String("selector", "", "trained selector model (mc3bench -train-selector): skips confident set-cover engine races and informs -algo auto dispatch (see docs/SELECTOR.md)")
 	)
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
@@ -100,13 +98,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	opts.Validate = true
 	opts.Timeout = *timeout
 	opts.Tracer = obsCLI.Tracer
-	if *selPath != "" {
-		model, err := selector.Load(*selPath)
-		if err != nil {
-			return err
-		}
-		opts.Selector = model
-	}
 	if *gap < 0 {
 		return fmt.Errorf("-gap must be ≥ 0, got %v", *gap)
 	}
@@ -380,8 +371,7 @@ func buildOptions(wsc, prepStr, engine string) (solver.Options, error) {
 func pickAlgorithm(name string, inst *core.Instance) (solver.Func, error) {
 	switch name {
 	case "auto":
-		// solver.Auto applies the k ≤ 2 gate per instance and consults the
-		// dispatch head of a loaded selector model when one is attached.
+		// solver.Auto applies the k ≤ 2 gate per instance.
 		return solver.Auto, nil
 	case "ktwo":
 		return solver.KTwo, nil

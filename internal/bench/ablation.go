@@ -195,24 +195,6 @@ func AblationLPPrep(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Ablations runs every ablation experiment.
-func Ablations(cfg Config) ([]*Table, error) {
-	runners := []func(Config) (*Table, error){
-		AblationWSC, AblationEngine, AblationPrepSteps, AblationLPPrep,
-		AblationBoundedK, AblationApproxRatio, AblationCertifiedRatio,
-		AblationBudgeted, AblationCostSensitivity,
-	}
-	var out []*Table
-	for _, r := range runners {
-		t, err := r(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 func nan() float64 { return math.NaN() }
 
 func minInt(a, b int) int {

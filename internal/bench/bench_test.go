@@ -115,14 +115,25 @@ func TestFigure3fRuns(t *testing.T) {
 	}
 }
 
+// runAll runs each runner under cfg and returns the tables in order.
+func runAll(t *testing.T, cfg Config, runners ...func(Config) (*Table, error)) []*Table {
+	t.Helper()
+	var tabs []*Table
+	for _, r := range runners {
+		tab, err := r(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs = append(tabs, tab)
+	}
+	return tabs
+}
+
 func TestAblations(t *testing.T) {
-	tabs, err := Ablations(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 9 {
-		t.Fatalf("ablations = %d, want 9", len(tabs))
-	}
+	tabs := runAll(t, quickCfg(),
+		AblationWSC, AblationEngine, AblationPrepSteps, AblationLPPrep,
+		AblationBoundedK, AblationApproxRatio, AblationCertifiedRatio,
+		AblationBudgeted, AblationCostSensitivity)
 	// WSC ablation: combined must be ≤ each single engine where defined.
 	wsc := tabs[0]
 	for i := range wsc.XValues {
@@ -140,13 +151,8 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	tabs, err := All(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 7 {
-		t.Fatalf("experiments = %d, want 7 (Table 1 + Figures 3a-3f)", len(tabs))
-	}
+	tabs := runAll(t, quickCfg(),
+		Table1, Figure3a, Figure3b, Figure3c, Figure3d, Figure3e, Figure3f)
 	ids := map[string]bool{}
 	for _, tab := range tabs {
 		ids[tab.ID] = true

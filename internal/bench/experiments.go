@@ -322,22 +322,6 @@ func Figure3f(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every paper experiment and returns the tables in paper order.
-func All(cfg Config) ([]*Table, error) {
-	runners := []func(Config) (*Table, error){
-		Table1, Figure3a, Figure3b, Figure3c, Figure3d, Figure3e, Figure3f,
-	}
-	var out []*Table
-	for _, r := range runners {
-		t, err := r(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 func maxInt(xs []int) int {
 	m := 0
 	for _, x := range xs {

@@ -38,12 +38,11 @@ type HarnessConfig struct {
 }
 
 // harnessShard is one in-process shard: server, listener, and its
-// adjustable injected latency.
+// injected latency.
 type harnessShard struct {
 	server   *serve.Server
 	hs       *http.Server
-	url      string
-	delay    atomic.Int64 // injected latency, nanoseconds
+	delay    time.Duration // injected latency
 	killed   atomic.Bool
 	doneServ chan struct{}
 }
@@ -102,9 +101,9 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			h.Close()
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		sh := &harnessShard{server: srv, url: url, doneServ: make(chan struct{})}
+		sh := &harnessShard{server: srv, doneServ: make(chan struct{})}
 		if cfg.SlowShard == i {
-			sh.delay.Store(int64(cfg.SlowDelay))
+			sh.delay = cfg.SlowDelay
 		}
 		sh.hs = &http.Server{Handler: sh.handler()}
 		go func(sh *harnessShard, ln net.Listener) {
@@ -144,9 +143,9 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 // handler wraps the shard server with the latency injector.
 func (sh *harnessShard) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := time.Duration(sh.delay.Load()); d > 0 {
+		if sh.delay > 0 {
 			select {
-			case <-time.After(d):
+			case <-time.After(sh.delay):
 			case <-r.Context().Done():
 				return
 			}
@@ -160,20 +159,6 @@ func (h *Harness) RouterURL() string { return h.routerURL }
 
 // Router returns the fronting router (for stats and metrics assertions).
 func (h *Harness) Router() *Router { return h.router }
-
-// NumShards returns the shard count.
-func (h *Harness) NumShards() int { return len(h.shards) }
-
-// ShardURL returns shard i's base URL.
-func (h *Harness) ShardURL(i int) string { return h.shards[i].url }
-
-// ShardServer returns shard i's in-process server.
-func (h *Harness) ShardServer(i int) *serve.Server { return h.shards[i].server }
-
-// SetShardDelay adjusts shard i's injected latency at runtime.
-func (h *Harness) SetShardDelay(i int, d time.Duration) {
-	h.shards[i].delay.Store(int64(d))
-}
 
 // KillShard hard-stops shard i: the listener closes and in-flight
 // connections are torn down, like a process crash (no drain, no goodbye).

@@ -117,7 +117,6 @@ type Instance struct {
 	maxQueryLen      int
 	maxClassifierLen int
 	sumQueryLen      int
-	totalFiniteCost  float64
 }
 
 // NewInstance materializes an MC³ instance from a query load and a cost
@@ -245,7 +244,6 @@ func NewInstance(u *Universe, queries []PropSet, cm CostModel, opts Options) (*I
 				inst.costs = append(inst.costs, c)
 				inst.clsQueries = append(inst.clsQueries, nil)
 				inst.byKey[string(keyBuf)] = id
-				inst.totalFiniteCost += c
 				if sub.Len() > inst.maxClassifierLen {
 					inst.maxClassifierLen = sub.Len()
 				}
@@ -319,10 +317,6 @@ func (inst *Instance) MaxClassifierLen() int { return inst.maxClassifierLen }
 
 // SumQueryLen returns n̂ = Σ|q|, the universe size of the WSC reduction.
 func (inst *Instance) SumQueryLen() int { return inst.sumQueryLen }
-
-// TotalFiniteCost returns the sum of all classifier costs — a safe finite
-// stand-in for +Inf in capacity-based reductions.
-func (inst *Instance) TotalFiniteCost() float64 { return inst.totalFiniteCost }
 
 // FullMask returns the bitmask covering all properties of query i.
 func (inst *Instance) FullMask(i int) uint64 {

@@ -101,12 +101,6 @@ func NewProblem(numVars int) *Problem {
 	return &Problem{numVars: numVars, obj: make([]float64, numVars)}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetObjective sets the minimization objective coefficients.
 func (p *Problem) SetObjective(coeffs []float64) error {
 	if len(coeffs) != p.numVars {

@@ -27,12 +27,6 @@ func NewBipartite(nLeft, nRight int) *Bipartite {
 	return &Bipartite{nLeft: nLeft, nRight: nRight, adj: make([][]int32, nLeft)}
 }
 
-// NumLeft returns the number of left vertices.
-func (b *Bipartite) NumLeft() int { return b.nLeft }
-
-// NumRight returns the number of right vertices.
-func (b *Bipartite) NumRight() int { return b.nRight }
-
 // AddEdge adds the edge (l, r).
 func (b *Bipartite) AddEdge(l, r int) {
 	if l < 0 || l >= b.nLeft || r < 0 || r >= b.nRight {

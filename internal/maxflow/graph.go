@@ -39,9 +39,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n)}
 }
 
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.n }
-
 // NumEdges returns the number of forward edges added.
 func (g *Graph) NumEdges() int { return len(g.to) / 2 }
 
@@ -76,9 +73,6 @@ func (g *Graph) Flow(e EdgeID) float64 {
 
 // Capacity returns the original capacity of edge e.
 func (g *Graph) Capacity(e EdgeID) float64 { return g.orig[e] }
-
-// Residual returns the residual capacity of edge e.
-func (g *Graph) Residual(e EdgeID) float64 { return g.cap[e] }
 
 // Saturated reports whether edge e is saturated (no residual capacity).
 func (g *Graph) Saturated(e EdgeID) bool { return g.cap[e] <= Eps }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
-	"repro/internal/selector"
 	"repro/internal/solver"
 	"repro/internal/textio"
 )
@@ -50,34 +49,30 @@ type Config struct {
 	MaxLoadQueries int
 	Validate       bool
 	MaxSessions    int
-	Flight       int // span trees retained by the flight recorder (0 disables)
-	SelectorPath string
+	Flight         int // span trees retained by the flight recorder (0 disables)
 
 	// SlowW, when non-nil, receives the slow/failed-request JSONL stream
 	// (requires Flight > 0); SlowThreshold is the capture latency bound.
 	SlowW         io.Writer
 	SlowThreshold time.Duration
-	// FeatureW, when non-nil, receives the per-component feature JSONL
-	// stream.
-	FeatureW io.Writer
 }
 
 // DefaultConfig returns the configuration matching mc3serve's flag defaults.
 func DefaultConfig() Config {
 	return Config{
-		Algo:          "auto",
-		WSC:           "auto",
-		Prep:          "full",
-		Engine:        "dinic",
-		Parallel:      -1,
-		CacheSize:     cache.DefaultMaxEntries,
+		Algo:           "auto",
+		WSC:            "auto",
+		Prep:           "full",
+		Engine:         "dinic",
+		Parallel:       -1,
+		CacheSize:      cache.DefaultMaxEntries,
 		ReqTimeout:     30 * time.Second,
 		MaxBody:        8 << 20,
 		MaxLoadQueries: 100_000,
 		Validate:       true,
-		MaxSessions:   64,
-		Flight:        256,
-		SlowThreshold: time.Second,
+		MaxSessions:    64,
+		Flight:         256,
+		SlowThreshold:  time.Second,
 	}
 }
 
@@ -90,7 +85,6 @@ type Server struct {
 	registry *obs.Registry
 	tracer   *obs.Tracer         // the request tracer (== opts.Tracer)
 	flight   *obs.FlightRecorder // nil when Flight == 0
-	harvest  *obs.HarvestSink    // nil when no FeatureW
 	mux      *http.ServeMux
 	started  time.Time
 	bootID   string // request-ID prefix, unique per process
@@ -141,7 +135,7 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 	s.opts.Cache = s.cache
 
 	// The request tracer: caller sinks (-spans etc.), then the flight
-	// recorder and the feature harvester, then the metrics registry. One
+	// recorder, then the metrics registry. One
 	// tracer serves every request; the per-request root span opened by
 	// instrument() fans out to all of them.
 	if cfg.Flight > 0 {
@@ -150,11 +144,6 @@ func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
 			s.flight.SetSlowLog(cfg.SlowW, cfg.SlowThreshold)
 		}
 		tracer = tracer.WithSink(s.flight)
-	}
-	if cfg.FeatureW != nil {
-		s.harvest = obs.NewHarvestSink(cfg.FeatureW, "mc3serve")
-		tracer = tracer.WithSink(s.harvest)
-		s.opts.FeatureAttrs = true
 	}
 	s.opts.Tracer = tracer.WithMetrics(reg)
 	s.tracer = s.opts.Tracer
@@ -299,7 +288,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("build instance: %w", err))
 		return
 	}
-	fn, algoName := pickAlgorithm(s.cfg.Algo, inst, s.opts)
+	fn, algoName := pickAlgorithm(s.cfg.Algo, inst)
 
 	// The solve runs under the request context — a dropped connection
 	// cancels it — additionally bounded by the configured timeout. The
@@ -453,13 +442,6 @@ func buildOptions(cfg Config) (solver.Options, error) {
 		return opts, fmt.Errorf("unknown -engine %q", cfg.Engine)
 	}
 	opts.Parallelism = cfg.Parallel
-	if cfg.SelectorPath != "" {
-		model, err := selector.Load(cfg.SelectorPath)
-		if err != nil {
-			return opts, err
-		}
-		opts.Selector = model
-	}
 	return opts, nil
 }
 
@@ -474,11 +456,9 @@ func checkAlgo(name string) error {
 }
 
 // pickAlgorithm resolves the configured algorithm against an instance. The
-// "auto" gate mirrors solver.Auto — static k ≤ 2 dispatch, overridable
-// toward the general solver by a confident dispatch prediction from a
-// loaded selector model — but is unrolled here so the chosen label reaches
-// the per-request metrics.
-func pickAlgorithm(name string, inst *core.Instance, opts solver.Options) (solver.Func, string) {
+// "auto" gate mirrors solver.Auto's static k ≤ 2 dispatch but is unrolled
+// here so the chosen label reaches the per-request metrics.
+func pickAlgorithm(name string, inst *core.Instance) (solver.Func, string) {
 	switch name {
 	case "ktwo":
 		return solver.KTwo, "ktwo"
@@ -491,17 +471,6 @@ func pickAlgorithm(name string, inst *core.Instance, opts solver.Options) (solve
 	default: // "auto", validated at startup
 		if inst.MaxQueryLen() > 2 {
 			return solver.General, "general"
-		}
-		if ds, ok := opts.Selector.(solver.DispatchSelector); ok {
-			f := solver.DispatchFeatures{
-				Queries:     inst.NumQueries(),
-				Classifiers: inst.NumClassifiers(),
-				MaxQueryLen: inst.MaxQueryLen(),
-				SumQueryLen: inst.SumQueryLen(),
-			}
-			if algo, _, ok := ds.PredictDispatch(f); ok && algo == solver.AlgoGeneral {
-				return solver.General, "general"
-			}
 		}
 		return solver.KTwo, "ktwo"
 	}
