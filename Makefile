@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check bench bench-full bench-sched bench-baseline bench-compare cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
+.PHONY: all build vet test test-race race check bench bench-full bench-sched perfbench bench-baseline bench-compare cluster-smoke stream-smoke experiments experiments-quick serve fuzz clean
 
 all: build vet test
 
@@ -33,11 +33,20 @@ bench:
 bench-full:
 	$(GO) test -bench=. -benchmem -run xxx ./...
 
-# Serial-vs-parallel scheduler comparison: the BenchmarkSched* pairs plus the
-# mc3bench parallelism sweep (which also verifies cost-identity per level).
+# Serial-vs-parallel component pool comparison: the BenchmarkSched* pairs plus
+# the mc3bench parallelism sweep (which also verifies cost-identity per level).
 bench-sched:
 	$(GO) test -bench Sched -benchmem -count=$(BENCH_COUNT) -run xxx .
 	$(GO) run ./cmd/mc3bench -exp sched
+
+# The repository's end-to-end benchmark (BENCHMARK.json, perfbench/README.md):
+# one seeded workload (solve-mix or session-delta) against an in-process
+# mc3serve; TRACE=1 prints the per-layer metrics. Builds under .bench_build/.
+WORKLOAD ?= solve-mix
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace $(TRACE)
 
 # End-to-end cluster gate: two shard processes + a router process, replayed
 # against with the per-batch differential check, plus the hedging experiment

@@ -160,8 +160,8 @@ func BenchmarkGeneralSolve(b *testing.B) {
 
 // ---- Scheduler benchmarks ----
 //
-// Multi-component loads dispatched serially vs through the work-stealing
-// scheduler at GOMAXPROCS workers. Compare within a machine:
+// Multi-component loads dispatched serially vs through the component pool at
+// GOMAXPROCS workers. Compare within a machine:
 //
 //	go test -bench 'Sched' -count 5 . | tee bench-new.txt && benchstat bench-old.txt bench-new.txt
 
@@ -197,7 +197,7 @@ var schedParallelisms = []struct {
 }{{"par=1", 1}, {"par=-1", -1}}
 
 // BenchmarkSchedGeneralSolve measures Algorithm 3 over 32 independent
-// components, serial vs work-stealing dispatch.
+// components, serial vs pooled dispatch.
 func BenchmarkSchedGeneralSolve(b *testing.B) {
 	inst := benchMultiCompInstance(b, 32, 3)
 	for _, tc := range schedParallelisms {
@@ -215,7 +215,7 @@ func BenchmarkSchedGeneralSolve(b *testing.B) {
 }
 
 // BenchmarkSchedKTwoSolve measures Algorithm 2 over 32 independent
-// components, serial vs work-stealing dispatch.
+// components, serial vs pooled dispatch.
 func BenchmarkSchedKTwoSolve(b *testing.B) {
 	inst := benchMultiCompInstance(b, 32, 2)
 	for _, tc := range schedParallelisms {
@@ -234,7 +234,7 @@ func BenchmarkSchedKTwoSolve(b *testing.B) {
 
 // BenchmarkSchedIncrApply measures the incremental engine re-solving every
 // component of a 32-component load per Apply (alternating cost updates,
-// uncached so each re-solve is real work), serial vs work-stealing dispatch.
+// uncached so each re-solve is real work), serial vs pooled dispatch.
 func BenchmarkSchedIncrApply(b *testing.B) {
 	const groups = 32
 	for _, tc := range schedParallelisms {

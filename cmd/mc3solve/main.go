@@ -25,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -90,7 +89,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(os.Stderr, "mc3solve: debug server on http://%s\n", obsCLI.DebugAddr)
 	}
 
-	opts, err := buildOptions(*wsc, *prepStr, *engine)
+	opts, err := solver.ParseOptions(*wsc, *prepStr, *engine)
 	if err != nil {
 		return err
 	}
@@ -329,43 +328,6 @@ func writeJSONSolution(out io.Writer, inst *core.Instance, sol *core.Solution, e
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-func buildOptions(wsc, prepStr, engine string) (solver.Options, error) {
-	opts := solver.DefaultOptions()
-	switch wsc {
-	case "auto":
-		opts.WSC = solver.WSCAuto
-	case "greedy":
-		opts.WSC = solver.WSCGreedy
-	case "primal-dual":
-		opts.WSC = solver.WSCPrimalDual
-	case "lp-rounding":
-		opts.WSC = solver.WSCLPRounding
-	case "auto-lp":
-		opts.WSC = solver.WSCAutoLP
-	default:
-		return opts, fmt.Errorf("unknown -wsc %q", wsc)
-	}
-	switch prepStr {
-	case "full":
-		opts.Prep = prep.Full
-	case "minimal":
-		opts.Prep = prep.Minimal
-	default:
-		return opts, fmt.Errorf("unknown -prep %q", prepStr)
-	}
-	switch engine {
-	case "dinic":
-		opts.Engine = bipartite.Dinic
-	case "push-relabel":
-		opts.Engine = bipartite.PushRelabel
-	case "capacity-scaling":
-		opts.Engine = bipartite.CapacityScaling
-	default:
-		return opts, fmt.Errorf("unknown -engine %q", engine)
-	}
-	return opts, nil
 }
 
 func pickAlgorithm(name string, inst *core.Instance) (solver.Func, error) {

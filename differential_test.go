@@ -184,7 +184,7 @@ func TestDifferentialParallelismInvariance(t *testing.T) {
 // TestDifferentialParallelismInvarianceIncremental drives a serial and a
 // parallel incremental engine with identical delta batches over each workload
 // generator and demands exact cost equality after every Apply — the
-// work-stealing re-solve dispatch must be invisible in the results. Costs are
+// pooled re-solve dispatch must be invisible in the results. Costs are
 // integer-valued in all workload models, so float sums are exact and the
 // comparison is bit-for-bit.
 func TestDifferentialParallelismInvarianceIncremental(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/solver"
 )
 
-// ParallelScaling measures the work-stealing component scheduler: the same
+// ParallelScaling measures the component pool: the same
 // multi-component load solved at increasing Parallelism, for Algorithm 3,
 // Algorithm 2, and the incremental engine's full-load re-solve (one Apply
 // dirtying every component). Every arm's solution cost must agree exactly
@@ -22,7 +22,7 @@ func ParallelScaling(cfg Config) (*Table, error) {
 	const groups, chain = 48, 6
 	t := &Table{
 		ID:     "sched",
-		Title:  "Work-stealing scheduler: multi-component solve time vs parallelism",
+		Title:  "Component pool: multi-component solve time vs parallelism",
 		XLabel: "parallelism",
 		Unit:   "seconds",
 		Series: []Series{{Name: "general"}, {Name: "ktwo"}, {Name: "incr-apply"}},

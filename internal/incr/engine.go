@@ -49,8 +49,8 @@ type Config struct {
 	// and AmbientQueryLen are managed by the engine per solve.
 	// Options.Parallelism additionally bounds how many dirty components an
 	// Apply re-solves concurrently (0/1 serial, negative = GOMAXPROCS):
-	// the engine dispatches its re-solve loop through the same
-	// work-stealing component scheduler the full solvers use.
+	// the engine dispatches its re-solve loop through the same component
+	// pool the full solvers use.
 	Options solver.Options
 	// Cache, when non-nil, is the component-solution cache consulted on
 	// every component solve; share one cache across engines (and with
@@ -607,14 +607,14 @@ func (e *Engine) resolveLocked(ctx context.Context, res *Result, oldPicks *[]cor
 		dirty = append(dirty, comp)
 	}
 
-	// Re-solve through the work-stealing scheduler, honoring the engine's
+	// Re-solve through the component pool, honoring the engine's
 	// Parallelism option (0/1 serial, negative = GOMAXPROCS). Apply holds mu,
 	// so workers see stable engine state; each callback writes only its own
-	// component. The scheduler stops dispatch on the first failure and leaves
+	// component. The pool stops dispatch on the first failure and leaves
 	// the unrun components dirty for the next Apply to retry.
 	solveErr := solver.ForEachComponent(ctx, len(dirty), e.opts.Parallelism,
 		func(i int) int { return len(dirty[i].queries) },
-		func(_ *solver.Task, i int) error {
+		func(i int) error {
 			return e.solveComponent(ctx, dirty[i], maxLen)
 		})
 

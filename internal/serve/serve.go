@@ -20,11 +20,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bipartite"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/prep"
 	"repro/internal/solver"
 	"repro/internal/textio"
 )
@@ -105,10 +103,11 @@ type Server struct {
 // New validates cfg and assembles the handler. The tracer (nil for none)
 // receives every request's span tree in addition to the server's own sinks.
 func New(cfg Config, tracer *obs.Tracer) (*Server, error) {
-	opts, err := buildOptions(cfg)
+	opts, err := solver.ParseOptions(cfg.WSC, cfg.Prep, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
+	opts.Parallelism = cfg.Parallel
 	if err := checkAlgo(cfg.Algo); err != nil {
 		return nil, err
 	}
@@ -347,13 +346,11 @@ type latencyStats struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// schedStats surfaces the work-stealing scheduler's mc3_sched_* counters.
+// schedStats surfaces the component pool's mc3_sched_* counters.
 type schedStats struct {
 	Runs       int64 `json:"runs"`
 	Components int64 `json:"components"`
 	Tasks      int64 `json:"tasks"`
-	Steals     int64 `json:"steals"`
-	Spawns     int64 `json:"spawns"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -375,8 +372,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Runs:       s.registry.Counter("mc3_sched_runs_total").Value(),
 			Components: s.registry.Counter("mc3_sched_components_total").Value(),
 			Tasks:      s.registry.Counter("mc3_sched_tasks_total").Value(),
-			Steals:     s.registry.Counter("mc3_sched_steals_total").Value(),
-			Spawns:     s.registry.Counter("mc3_sched_spawns_total").Value(),
 		},
 		Flight: s.flight.Stats(),
 	})
@@ -403,46 +398,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// buildOptions translates the configuration strings into solver options
-// (same vocabulary as mc3solve).
-func buildOptions(cfg Config) (solver.Options, error) {
-	opts := solver.DefaultOptions()
-	switch cfg.WSC {
-	case "auto":
-		opts.WSC = solver.WSCAuto
-	case "greedy":
-		opts.WSC = solver.WSCGreedy
-	case "primal-dual":
-		opts.WSC = solver.WSCPrimalDual
-	case "lp-rounding":
-		opts.WSC = solver.WSCLPRounding
-	case "auto-lp":
-		opts.WSC = solver.WSCAutoLP
-	default:
-		return opts, fmt.Errorf("unknown -wsc %q", cfg.WSC)
-	}
-	switch cfg.Prep {
-	case "full":
-		opts.Prep = prep.Full
-	case "minimal":
-		opts.Prep = prep.Minimal
-	default:
-		return opts, fmt.Errorf("unknown -prep %q", cfg.Prep)
-	}
-	switch cfg.Engine {
-	case "dinic":
-		opts.Engine = bipartite.Dinic
-	case "push-relabel":
-		opts.Engine = bipartite.PushRelabel
-	case "capacity-scaling":
-		opts.Engine = bipartite.CapacityScaling
-	default:
-		return opts, fmt.Errorf("unknown -engine %q", cfg.Engine)
-	}
-	opts.Parallelism = cfg.Parallel
-	return opts, nil
 }
 
 // checkAlgo validates the algorithm name once at startup (resolution still

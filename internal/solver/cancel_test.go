@@ -151,7 +151,7 @@ func TestExactCancellationMidSearch(t *testing.T) {
 // TestConcurrentSolvesShareStats runs several General solves concurrently —
 // each with a maximally parallel component pool — against one shared
 // SolveStats. Run under -race this exercises the tracker-merge locking and
-// forEachComponent's dispatch.
+// ForEachComponent's dispatch.
 func TestConcurrentSolvesShareStats(t *testing.T) {
 	inst := multiComponentInstance(t, 40)
 	var stats SolveStats

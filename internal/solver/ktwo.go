@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -52,15 +51,15 @@ func ktwoWithCtx(ctx context.Context, inst *core.Instance, opts Options) (*core.
 
 // ktwoResidual solves the residual of a preprocessed k ≤ 2 instance exactly
 // and returns the picked classifier IDs. Independent components are
-// dispatched through the work-stealing scheduler when opts.Parallelism
-// allows, largest-first; concatenation order is fixed, so the result is
+// dispatched through the component pool when opts.Parallelism allows,
+// largest-first; concatenation order is fixed, so the result is
 // deterministic. Max-flow work is observed through the engines' own spans.
 func ktwoResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.ClassifierID, error) {
 	perComp := make([][]core.ClassifierID, len(r.Components))
 	err := ForEachComponent(ctx, len(r.Components), opts.Parallelism,
 		func(ci int) int { return len(r.Components[ci]) },
-		func(t *Task, ci int) error {
-			return ktwoComponent(ctx, t, r, ci, opts, perComp)
+		func(ci int) error {
+			return ktwoComponent(ctx, r, ci, opts, perComp)
 		})
 	if err != nil {
 		return nil, err
@@ -75,22 +74,17 @@ func ktwoResidual(ctx context.Context, r *prep.Result, opts Options) ([]core.Cla
 // ktwoComponent solves component ci exactly via the bipartite WVC reduction,
 // writing its picks into perComp[ci]. With opts.Cache attached, a component
 // whose canonical signature was solved before is answered from the cache
-// without building the flow network. The flow-network build runs as the
-// component's first pipeline stage and the max-flow solve as a spawned
-// second stage, so the scheduler can overlap one component's build with
-// another's solve. The pooled scratch is held across both stages (the solve
-// stage reads the node→classifier tables) and released when the component
-// completes or fails; it is simply dropped for the pool to re-create when
-// dispatch aborts before the second stage runs.
-func ktwoComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Options, perComp [][]core.ClassifierID) error {
+// without building the flow network. The pooled scratch backs the build and
+// the node→classifier tables the solve reads, and is released on return.
+func ktwoComponent(ctx context.Context, r *prep.Result, ci int, opts Options, perComp [][]core.ClassifierID) (err error) {
 	inst := r.Inst
 	comp := r.Components[ci]
 	csp, ctx := obs.StartChild(ctx, SpanComponent,
 		obs.Int("index", ci), obs.Int("queries", len(comp)))
+	defer func() { csp.EndErr(err) }()
 	key, picks, hit := componentCacheLookup(ctx, opts, "ktwo/"+opts.Engine.String(), r, comp)
 	if hit {
 		perComp[ci] = picks
-		csp.End()
 		return nil
 	}
 	// Left: one node per property in the component (its singleton
@@ -100,10 +94,10 @@ func ktwoComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Op
 	// component scratch pool — bipartite.New copies the weights, so nothing
 	// below escapes the call.
 	ws := compScratchPool.Get().(*compScratch)
-	release := func() {
+	defer func() {
 		clear(ws.propNode)
 		compScratchPool.Put(ws)
-	}
+	}()
 	propNode := ws.propNode
 	weightL, idL := ws.weightL[:0], ws.idL[:0]
 	leftOf := func(p core.PropID) int32 {
@@ -128,8 +122,6 @@ func ktwoComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Op
 	for _, qi := range comp {
 		q := inst.Query(qi)
 		if q.Len() != 2 {
-			release()
-			csp.End()
 			return fmt.Errorf("solver: residual query %v has length %d; preprocessing should leave only length-2 queries", q, q.Len())
 		}
 		ri := int32(len(weightR))
@@ -151,34 +143,23 @@ func ktwoComponent(ctx context.Context, t *Task, r *prep.Result, ci int, opts Op
 
 	wvc, err := bipartite.New(weightL, weightR)
 	if err != nil {
-		release()
-		csp.End()
 		return err
 	}
 	for _, e := range edges {
 		if err := wvc.AddEdge(int(e.l), int(e.r)); err != nil {
-			release()
-			csp.End()
 			return err
 		}
 	}
-	t.Spawn(func() error {
-		defer release()
-		err := solveWVCComponent(ctx, wvc, idL, idR, key, ci, opts, perComp)
-		csp.EndErr(err)
-		return err
-	})
-	return nil
+	return solveWVCComponent(ctx, wvc, idL, idR, key, ci, opts, perComp)
 }
 
-// solveWVCComponent is the second pipeline stage of ktwoComponent: run the
-// max-flow engine over the built network, translate the cover back to
-// classifiers, and memoize the result. idL/idR alias the component's pooled
-// scratch; the caller releases it after this stage.
+// solveWVCComponent runs the max-flow engine over component ci's built
+// network, translates the cover back to classifiers, and memoizes the
+// result. idL/idR alias the component's pooled scratch.
 func solveWVCComponent(ctx context.Context, wvc *bipartite.WVC, idL, idR []core.ClassifierID, key cache.Key, ci int, opts Options, perComp [][]core.ClassifierID) error {
 	coverL, coverR, _, err := wvc.SolveCtx(ctx, opts.Engine, nil)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isContextErr(err) {
 			return err
 		}
 		return fmt.Errorf("solver: component infeasible: %w", err)

@@ -27,3 +27,44 @@ func TestDefaultOptionsMatchesDocumentation(t *testing.T) {
 		t.Error("zero-value Prep equals the paper default; the Options doc warning is stale")
 	}
 }
+
+// TestParseOptions covers every name the -wsc, -prep and -engine flags
+// accept, and one unknown name per flag.
+func TestParseOptions(t *testing.T) {
+	def := DefaultOptions()
+	withWSC := func(m WSCMethod) Options { o := def; o.WSC = m; return o }
+	withPrep := func(l prep.Level) Options { o := def; o.Prep = l; return o }
+	withEngine := func(e bipartite.Engine) Options { o := def; o.Engine = e; return o }
+	for _, tc := range []struct {
+		wsc, prep, engine string
+		want              Options
+	}{
+		{"auto", "full", "dinic", def},
+		{"greedy", "full", "dinic", withWSC(WSCGreedy)},
+		{"primal-dual", "full", "dinic", withWSC(WSCPrimalDual)},
+		{"lp-rounding", "full", "dinic", withWSC(WSCLPRounding)},
+		{"auto-lp", "full", "dinic", withWSC(WSCAutoLP)},
+		{"auto", "minimal", "dinic", withPrep(prep.Minimal)},
+		{"auto", "full", "push-relabel", withEngine(bipartite.PushRelabel)},
+		{"auto", "full", "capacity-scaling", withEngine(bipartite.CapacityScaling)},
+	} {
+		got, err := ParseOptions(tc.wsc, tc.prep, tc.engine)
+		if err != nil {
+			t.Errorf("ParseOptions(%q, %q, %q): %v", tc.wsc, tc.prep, tc.engine, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("ParseOptions(%q, %q, %q) = %+v, want %+v", tc.wsc, tc.prep, tc.engine, got, tc.want)
+		}
+	}
+	for _, tc := range []struct{ wsc, prep, engine, wantErr string }{
+		{"simplex", "full", "dinic", `unknown -wsc "simplex"`},
+		{"auto", "none", "dinic", `unknown -prep "none"`},
+		{"auto", "full", "ford-fulkerson", `unknown -engine "ford-fulkerson"`},
+	} {
+		_, err := ParseOptions(tc.wsc, tc.prep, tc.engine)
+		if err == nil || err.Error() != tc.wantErr {
+			t.Errorf("ParseOptions(%q, %q, %q) error = %v, want %q", tc.wsc, tc.prep, tc.engine, err, tc.wantErr)
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 func TestForEachComponentSerialAndParallel(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, -1} {
 		var count int64
-		err := forEachComponent(context.Background(), 20, workers, func(i int) error {
+		err := ForEachComponent(context.Background(), 20, workers, nil, func(i int) error {
 			atomic.AddInt64(&count, 1)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestForEachComponentSerialAndParallel(t *testing.T) {
 func TestForEachComponentPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := forEachComponent(context.Background(), 10, workers, func(i int) error {
+		err := ForEachComponent(context.Background(), 10, workers, nil, func(i int) error {
 			if i == 7 {
 				return sentinel
 			}
@@ -48,7 +48,7 @@ func TestForEachComponentPropagatesError(t *testing.T) {
 }
 
 func TestForEachComponentEmpty(t *testing.T) {
-	if err := forEachComponent(context.Background(), 0, 8, func(int) error { return nil }); err != nil {
+	if err := ForEachComponent(context.Background(), 0, 8, nil, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +56,7 @@ func TestForEachComponentEmpty(t *testing.T) {
 func TestForEachComponentStopsDispatchAfterError(t *testing.T) {
 	sentinel := errors.New("boom")
 	var ran int64
-	err := forEachComponent(context.Background(), 1000, 4, func(i int) error {
+	err := ForEachComponent(context.Background(), 1000, 4, nil, func(i int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 3 {
 			return sentinel
@@ -74,7 +74,7 @@ func TestForEachComponentStopsDispatchAfterError(t *testing.T) {
 
 func TestForEachComponentRecoversPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := forEachComponent(context.Background(), 10, workers, func(i int) error {
+		err := ForEachComponent(context.Background(), 10, workers, nil, func(i int) error {
 			if i == 2 {
 				panic("kaboom")
 			}
@@ -91,7 +91,7 @@ func TestForEachComponentCancelledContext(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran int64
-		err := forEachComponent(ctx, 100, workers, func(i int) error {
+		err := ForEachComponent(ctx, 100, workers, nil, func(i int) error {
 			atomic.AddInt64(&ran, 1)
 			return nil
 		})

@@ -89,8 +89,8 @@ func samplingActive(opts Options, compLen int) bool {
 }
 
 // sampleSolveComponent covers component ci through the sampling path,
-// writing its picks into perComp[ci]. It runs as a spawned pipeline stage
-// (the sampled WSC builds happen inside the rounds).
+// writing its picks into perComp[ci] (the sampled WSC builds happen inside
+// the rounds).
 func sampleSolveComponent(ctx context.Context, r *prep.Result, ci int, opts Options, perComp [][]core.ClassifierID) error {
 	comp := r.Components[ci]
 	cfg := opts.Sampling

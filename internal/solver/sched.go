@@ -12,71 +12,31 @@ import (
 	"repro/internal/obs"
 )
 
-// The work-stealing component scheduler — the single dispatch primitive
-// behind General, KTwo, and internal/incr's dirty-component re-solves, per
-// the paper's Section 3 remark that the decomposition "allows us to solve
-// all sub-instances in parallel".
+// The component pool — the single dispatch primitive behind General, KTwo,
+// and internal/incr's dirty-component re-solves, per the paper's Section 3
+// remark that the decomposition "allows us to solve all sub-instances in
+// parallel". Components are independent and each is a fixed amount of work,
+// so the workers need no coordination beyond one shared counter handing out
+// the next component, largest first.
+
+// ForEachComponent runs fn(i) for every component index i in [0, n). The
+// calling goroutine and workers−1 more take indices from a shared counter,
+// where workers is parallelism (≤ 1 = one worker, < 0 = GOMAXPROCS) capped
+// at n. With more than one worker and a non-nil size hint, components are
+// handed out largest first so stragglers start early; otherwise in index
+// order.
 //
-// Design:
+// Contracts:
 //
-//   - One deque per worker. The owner pushes and pops at the bottom; idle
-//     workers steal from the top of other deques. Each deque is guarded by
-//     its own mutex, so workers only contend when stealing.
-//   - Components are seeded round-robin across the deques in
-//     largest-first order (per the caller's size hint), with each deque's
-//     share arranged so the owner pops its largest component first —
-//     stragglers start early instead of serializing at the end.
-//   - A component function may split itself into pipeline stages with
-//     Task.Spawn: the continuation is pushed onto the running worker's
-//     deque (run next by the owner, or stolen), so one component's build
-//     and another's solve interleave instead of each component being a
-//     monolithic unit.
-//
-// Contracts (unchanged from the flat dispatcher this replaces):
-//
-//   - Determinism: results are written into per-index slots by the caller,
-//     so the final concatenation is independent of scheduling.
+//   - Determinism: fn must write results into per-index slots, so the
+//     caller's concatenation is independent of scheduling.
 //   - The first failure (fn error, recovered panic, or the context firing)
-//     stops dispatch: tasks not yet started are never run. In-flight tasks
-//     finish, and their failures are aggregated too.
+//     stops dispatch: components not yet started are never run. In-flight
+//     components finish, and their failures are aggregated too.
 //   - Bare context errors pass through for errors.Is; other failures are
-//     wrapped, multiple concurrent ones joined via errors.Join.
-
-// Task is the handle a component function receives from ForEachComponent.
-// Its zero value is not useful; the scheduler constructs one per component.
-type Task struct {
-	index  int
-	s      *sched          // parallel mode
-	w      int             // worker running the task (parallel mode)
-	serial *[]func() error // serial mode: deferred stage queue
-}
-
-// Spawn schedules stage as a separately schedulable continuation of the
-// task's component. The stage runs after the current function returns —
-// immediately on the same worker when it is idle, or stolen by another —
-// and its error is attributed to the component. In serial mode stages run
-// in FIFO order right after the component function returns. A stage is
-// skipped (never run) when dispatch has already stopped on a failure.
-func (t *Task) Spawn(stage func() error) {
-	if t.s != nil {
-		t.s.spawn(t.w, t.index, stage)
-		return
-	}
-	*t.serial = append(*t.serial, stage)
-}
-
-// ForEachComponent runs fn for every component index, serially or on a
-// work-stealing worker pool per parallelism (0/1 = serial, < 0 = GOMAXPROCS,
-// else that many workers). size, when non-nil, is a per-component work hint
-// used to start the largest components first; nil keeps index order.
-//
-// fn must write results into per-index slots so the caller's concatenation
-// is deterministic regardless of scheduling. See Task.Spawn for splitting a
-// component into pipeline stages.
-//
-// Exported for internal/incr, whose dirty-component re-solve loop shares
-// this dispatcher with the full solvers.
-func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) int, fn func(t *Task, i int) error) error {
+//     wrapped, multiple concurrent ones joined via errors.Join in component
+//     order.
+func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -84,238 +44,100 @@ func ForEachComponent(ctx context.Context, n, parallelism int, size func(i int) 
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		return runSerial(ctx, n, fn)
-	}
+	workers = max(1, min(workers, n))
 
-	s := &sched{
-		deques: make([]*schedDeque, workers),
-		done:   ctx.Done(),
-		ctxErr: ctx.Err,
-	}
-	s.cond = sync.NewCond(&s.mu)
-
-	// Largest-first seed order (stable on the index for determinism of the
-	// schedule itself, not of the results — those are index-slotted).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if size != nil {
-		sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
-	}
-	// Round-robin the sorted components across the deques, then reverse
-	// each share: the owner pops at the bottom (the slice tail), so the
-	// tail must hold the worker's largest component.
-	for w := range s.deques {
-		s.deques[w] = &schedDeque{}
-	}
-	for r, idx := range order {
-		i := idx
-		d := s.deques[r%workers]
-		d.tasks = append(d.tasks, schedTask{index: i, run: func(w int) error {
-			return fn(&Task{index: i, s: s, w: w}, i)
-		}})
-	}
-	for _, d := range s.deques {
-		for a, b := 0, len(d.tasks)-1; a < b; a, b = a+1, b-1 {
-			d.tasks[a], d.tasks[b] = d.tasks[b], d.tasks[a]
+	p := &pool{ctx: ctx, n: int64(n), fn: fn}
+	if size != nil && workers > 1 {
+		p.order = make([]int, n)
+		for i := range p.order {
+			p.order[i] = i
 		}
+		sort.SliceStable(p.order, func(a, b int) bool { return size(p.order[a]) > size(p.order[b]) })
 	}
-	s.inflight.Store(int64(n))
-
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			s.worker(w)
-		}(w)
+			p.work()
+		}()
 	}
+	p.work()
 	wg.Wait()
 
-	s.emit(ctx, workers, n)
-	return s.err()
-}
-
-// schedTask is one schedulable unit: a component function or a spawned
-// pipeline stage. run receives the id of the worker executing it so spawned
-// continuations land on that worker's deque.
-type schedTask struct {
-	index int
-	run   func(w int) error
-}
-
-// schedDeque is one worker's task deque. The owner operates at the bottom
-// (the slice tail): popBottom takes the most recently pushed task, so
-// spawned pipeline stages run depth-first and the seeded share is arranged
-// largest-at-the-tail. Thieves steal from the top (the slice head).
-type schedDeque struct {
-	mu    sync.Mutex
-	tasks []schedTask
-}
-
-func (d *schedDeque) pushBottom(t schedTask) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-func (d *schedDeque) popBottom() (schedTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return schedTask{}, false
+	if workers > 1 {
+		p.emit(workers)
 	}
-	t := d.tasks[len(d.tasks)-1]
-	d.tasks[len(d.tasks)-1] = schedTask{}
-	d.tasks = d.tasks[:len(d.tasks)-1]
-	return t, true
+	return p.err()
 }
 
-func (d *schedDeque) stealTop() (schedTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return schedTask{}, false
-	}
-	t := d.tasks[0]
-	d.tasks[0] = schedTask{}
-	d.tasks = d.tasks[1:]
-	return t, true
+// pool is the shared state of one ForEachComponent run.
+type pool struct {
+	ctx   context.Context
+	n     int64
+	order []int // dispatch order; nil = index order
+	fn    func(i int) error
+	next  atomic.Int64 // next position in the dispatch order
+	quit  atomic.Bool  // set on first failure: no further component starts
+	ran   atomic.Int64
+
+	mu   sync.Mutex
+	errs []schedErr
 }
 
-// schedErr is one recorded failure, attributed to a component index
-// (-1 for the dispatcher observing the context fire).
+// schedErr is one recorded failure, attributed to a component index.
 type schedErr struct {
 	index int
 	err   error
 }
 
-// sched is the shared state of one ForEachComponent run.
-type sched struct {
-	deques   []*schedDeque
-	inflight atomic.Int64  // tasks queued or running; 0 terminates the pool
-	quit     atomic.Bool   // set on first failure: queued tasks are dropped
-	version  atomic.Uint64 // bumped per spawn; parked workers re-scan on change
-	steals   atomic.Int64
-	spawns   atomic.Int64
-	ran      atomic.Int64
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	errs []schedErr
-
-	done   <-chan struct{}
-	ctxErr func() error
-}
-
-// worker runs tasks until the pool drains.
-func (s *sched) worker(w int) {
-	for {
-		t, ok := s.next(w)
-		if !ok {
+// work runs components until the order is exhausted or dispatch stops. A
+// component is failed without running when the context has already fired.
+func (p *pool) work() {
+	done := p.ctx.Done()
+	for !p.quit.Load() {
+		k := p.next.Add(1) - 1
+		if k >= p.n {
 			return
 		}
-		s.run(w, t)
-	}
-}
-
-// next returns the next task for worker w: its own deque's bottom, else a
-// steal from another deque's top, else it parks until work appears or the
-// pool drains. The version counter closes the race between an empty scan
-// and a concurrent spawn: a worker only parks if no task was pushed since
-// its scan began.
-func (s *sched) next(w int) (schedTask, bool) {
-	for {
-		v := s.version.Load()
-		if t, ok := s.deques[w].popBottom(); ok {
-			return t, true
+		i := int(k)
+		if p.order != nil {
+			i = p.order[k]
 		}
-		for i := 1; i < len(s.deques); i++ {
-			if t, ok := s.deques[(w+i)%len(s.deques)].stealTop(); ok {
-				s.steals.Add(1)
-				return t, true
+		if done != nil {
+			select {
+			case <-done:
+				p.fail(i, p.ctx.Err())
+				return
+			default:
 			}
 		}
-		s.mu.Lock()
-		if s.inflight.Load() == 0 {
-			s.mu.Unlock()
-			return schedTask{}, false
-		}
-		if s.version.Load() != v {
-			s.mu.Unlock()
-			continue
-		}
-		s.cond.Wait()
-		s.mu.Unlock()
-	}
-}
-
-// run executes one task: dropped when dispatch already stopped, failed
-// without running when the context has fired, else run with panic recovery.
-func (s *sched) run(w int, t schedTask) {
-	defer s.taskDone()
-	if s.quit.Load() {
-		return
-	}
-	if s.done != nil {
-		select {
-		case <-s.done:
-			s.fail(t.index, s.ctxErr())
-			return
-		default:
+		p.ran.Add(1)
+		if err := runRecover(i, p.fn); err != nil {
+			p.fail(i, err)
 		}
 	}
-	s.ran.Add(1)
-	if err := runRecover(t.index, func() error { return t.run(w) }); err != nil {
-		s.fail(t.index, err)
-	}
 }
 
-func (s *sched) taskDone() {
-	if s.inflight.Add(-1) == 0 {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-func (s *sched) fail(index int, err error) {
-	s.quit.Store(true)
-	s.mu.Lock()
-	s.errs = append(s.errs, schedErr{index: index, err: err})
-	s.mu.Unlock()
-}
-
-// spawn enqueues a pipeline stage on worker w's deque. The caller is a task
-// currently running on w, so inflight cannot reach zero before the
-// increment: the pool never terminates with a stage pending.
-func (s *sched) spawn(w, index int, stage func() error) {
-	s.spawns.Add(1)
-	s.inflight.Add(1)
-	s.deques[w].pushBottom(schedTask{index: index, run: func(int) error { return stage() }})
-	s.version.Add(1)
-	s.mu.Lock()
-	s.cond.Signal()
-	s.mu.Unlock()
+func (p *pool) fail(index int, err error) {
+	p.quit.Store(true)
+	p.mu.Lock()
+	p.errs = append(p.errs, schedErr{index: index, err: err})
+	p.mu.Unlock()
 }
 
 // err assembles the run's outcome: nil, a bare context error (so callers'
 // errors.Is(err, context.Canceled/DeadlineExceeded) keep working), a single
 // wrapped failure, or an errors.Join of every concurrent failure in
 // component order.
-func (s *sched) err() error {
-	if len(s.errs) == 0 {
+func (p *pool) err() error {
+	if len(p.errs) == 0 {
 		return nil
 	}
-	sort.SliceStable(s.errs, func(a, b int) bool { return s.errs[a].index < s.errs[b].index })
+	sort.SliceStable(p.errs, func(a, b int) bool { return p.errs[a].index < p.errs[b].index })
 	allCtx := true
-	list := make([]error, 0, len(s.errs))
-	for _, se := range s.errs {
+	list := make([]error, 0, len(p.errs))
+	for _, se := range p.errs {
 		if !isContextErr(se.err) {
 			allCtx = false
 		}
@@ -325,81 +147,38 @@ func (s *sched) err() error {
 		return list[0]
 	}
 	if len(list) == 1 {
-		return componentErr(list[0])
+		return fmt.Errorf("solver: component failed: %w", list[0])
 	}
 	return fmt.Errorf("solver: %d components failed: %w", len(list), errors.Join(list...))
 }
 
-// emit records the run's scheduler counters on the enclosing span (attrs
-// sched_workers/sched_steals/sched_spawns) and, when the trace carries a
-// metrics registry, the mc3_sched_* metrics. Called after the pool has
-// drained, from the dispatching goroutine that owns the span.
-func (s *sched) emit(ctx context.Context, workers, n int) {
-	sp := obs.FromContext(ctx)
+// emit records a parallel run's counters on the enclosing span (attr
+// sched_workers) and, when the trace carries a metrics registry, the
+// mc3_sched_* metrics. Called after the pool has drained, from the
+// dispatching goroutine that owns the span.
+func (p *pool) emit(workers int) {
+	sp := obs.FromContext(p.ctx)
 	if sp == nil {
 		return
 	}
-	steals, spawns := s.steals.Load(), s.spawns.Load()
-	sp.SetAttr(obs.Int("sched_workers", workers),
-		obs.I64("sched_steals", steals),
-		obs.I64("sched_spawns", spawns))
+	sp.SetAttr(obs.Int("sched_workers", workers))
 	if m := sp.Tracer().Metrics(); m != nil {
 		m.Counter("mc3_sched_runs_total").Inc()
-		m.Counter("mc3_sched_components_total").Add(int64(n))
-		m.Counter("mc3_sched_tasks_total").Add(s.ran.Load())
-		m.Counter("mc3_sched_steals_total").Add(steals)
-		m.Counter("mc3_sched_spawns_total").Add(spawns)
+		m.Counter("mc3_sched_components_total").Add(p.n)
+		m.Counter("mc3_sched_tasks_total").Add(p.ran.Load())
 		m.Gauge("mc3_sched_workers").Set(float64(workers))
 	}
 }
 
-// runSerial is the parallelism ≤ 1 path: components in index order, each
-// followed by its spawned stages in FIFO order, stopping at the first
-// failure or when the context fires between tasks.
-func runSerial(ctx context.Context, n int, fn func(t *Task, i int) error) error {
-	done := ctx.Done()
-	check := func() error {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		return nil
-	}
-	var stages []func() error
-	for i := 0; i < n; i++ {
-		if err := check(); err != nil {
-			return err
-		}
-		t := &Task{index: i, serial: &stages}
-		if err := runRecover(i, func() error { return fn(t, i) }); err != nil {
-			return componentErr(err)
-		}
-		for len(stages) > 0 {
-			stage := stages[0]
-			stages = stages[1:]
-			if err := check(); err != nil {
-				return err
-			}
-			if err := runRecover(i, stage); err != nil {
-				return componentErr(err)
-			}
-		}
-	}
-	return nil
-}
-
-// runRecover runs f, converting a panic into an error attributed to the
-// component.
-func runRecover(index int, f func() error) (err error) {
+// runRecover runs fn(index), converting a panic into an error attributed to
+// the component.
+func runRecover(index int, fn func(i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("solver: component %d panicked: %v", index, r)
 		}
 	}()
-	return f()
+	return fn(index)
 }
 
 func isContextErr(err error) bool {

@@ -19,7 +19,7 @@ func TestForEachComponentAggregatesConcurrentErrors(t *testing.T) {
 	errB := errors.New("component B exploded")
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait() // both components are in flight; both will fail
 		if i == 0 {
@@ -48,7 +48,7 @@ func TestForEachComponentAggregatesConcurrentErrors(t *testing.T) {
 func TestForEachComponentConcurrentContextErrorsStayBare(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait()
 		return context.Canceled
@@ -65,7 +65,7 @@ func TestForEachComponentMixedContextAndRealErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	err := ForEachComponent(context.Background(), 2, 2, nil, func(_ *Task, i int) error {
+	err := ForEachComponent(context.Background(), 2, 2, nil, func(i int) error {
 		barrier.Done()
 		barrier.Wait()
 		if i == 0 {
@@ -81,104 +81,6 @@ func TestForEachComponentMixedContextAndRealErrors(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("errors.Is(err, context.Canceled) = false; err = %v", err)
-	}
-}
-
-// TestTaskSpawnSerialRunsStagesInOrder checks serial mode: spawned stages run
-// FIFO after the component function returns, before the next component.
-func TestTaskSpawnSerialRunsStagesInOrder(t *testing.T) {
-	var trace []string
-	err := ForEachComponent(context.Background(), 2, 1, nil, func(task *Task, i int) error {
-		name := string(rune('A' + i))
-		trace = append(trace, "fn"+name)
-		task.Spawn(func() error {
-			trace = append(trace, "stage1"+name)
-			return nil
-		})
-		task.Spawn(func() error {
-			trace = append(trace, "stage2"+name)
-			return nil
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "fnA stage1A stage2A fnB stage1B stage2B"
-	if got := strings.Join(trace, " "); got != want {
-		t.Fatalf("serial trace = %q, want %q", got, want)
-	}
-}
-
-// TestTaskSpawnParallelStageErrorsAttributed checks that a spawned stage's
-// failure is reported like a component failure, with the sentinel matchable.
-func TestTaskSpawnParallelStageErrorsAttributed(t *testing.T) {
-	stageErr := errors.New("stage failed")
-	for _, par := range []int{1, 4} {
-		var ran atomic.Int64
-		err := ForEachComponent(context.Background(), 4, par,
-			func(i int) int { return i },
-			func(task *Task, i int) error {
-				task.Spawn(func() error {
-					ran.Add(1)
-					if i == 2 {
-						return stageErr
-					}
-					return nil
-				})
-				return nil
-			})
-		if err == nil {
-			t.Fatalf("parallelism %d: want error, got nil", par)
-		}
-		if !errors.Is(err, stageErr) {
-			t.Errorf("parallelism %d: errors.Is(err, stageErr) = false; err = %v", par, err)
-		}
-	}
-}
-
-// TestTaskSpawnParallelStagesAllRun checks that every component's spawned
-// stage executes under parallel dispatch (the pool must not terminate while
-// continuations are queued) and that per-index slot writes all land.
-func TestTaskSpawnParallelStagesAllRun(t *testing.T) {
-	const n = 32
-	got := make([]int, n)
-	err := ForEachComponent(context.Background(), n, 4,
-		func(i int) int { return n - i },
-		func(task *Task, i int) error {
-			task.Spawn(func() error {
-				got[i] = i + 1
-				return nil
-			})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d, want %d (stage skipped?)", i, v, i+1)
-		}
-	}
-}
-
-// TestTaskSpawnStagePanicRecovered checks that a panic inside a spawned stage
-// is converted into an attributed error in both modes.
-func TestTaskSpawnStagePanicRecovered(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		err := ForEachComponent(context.Background(), 2, par, nil,
-			func(task *Task, i int) error {
-				task.Spawn(func() error {
-					if i == 1 {
-						panic("stage kaboom")
-					}
-					return nil
-				})
-				return nil
-			})
-		if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "stage kaboom") {
-			t.Fatalf("parallelism %d: want recovered panic error, got %v", par, err)
-		}
 	}
 }
 
@@ -198,7 +100,7 @@ func TestForEachComponentStealsUnderImbalance(t *testing.T) {
 				}
 				return 1
 			},
-			func(_ *Task, i int) error {
+			func(i int) error {
 				if i == 0 {
 					<-release // hold worker 0 hostage
 				}
@@ -219,5 +121,55 @@ func TestForEachComponentStealsUnderImbalance(t *testing.T) {
 	close(release)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachComponentLargestFirst checks the dispatch order. With two
+// workers and distinct size hints, the first two components entered are the
+// two largest: each of them holds its worker at a barrier until the other
+// has entered, so no third component can start before both. With one
+// worker, components run in index order whatever the hints.
+func TestForEachComponentLargestFirst(t *testing.T) {
+	const n = 8
+	size := func(i int) int { return (i * 5) % n } // distinct; largest are 3 (7) and 6 (6)
+	var (
+		mu      sync.Mutex
+		entered []int
+		barrier sync.WaitGroup
+	)
+	barrier.Add(2)
+	err := ForEachComponent(context.Background(), n, 2, size, func(i int) error {
+		mu.Lock()
+		entered = append(entered, i)
+		first := len(entered) <= 2
+		mu.Unlock()
+		if first {
+			barrier.Done()
+			barrier.Wait()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entered) != n {
+		t.Fatalf("ran %d of %d components", len(entered), n)
+	}
+	if a, b := min(entered[0], entered[1]), max(entered[0], entered[1]); a != 3 || b != 6 {
+		t.Errorf("first two components entered = %v, want the two largest {3, 6}", entered[:2])
+	}
+
+	entered = entered[:0]
+	err = ForEachComponent(context.Background(), n, 1, size, func(i int) error {
+		entered = append(entered, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range entered {
+		if i != k {
+			t.Fatalf("parallelism 1 ran %v, want index order", entered)
+		}
 	}
 }

@@ -158,6 +158,46 @@ func DefaultOptions() Options {
 	return Options{Prep: prep.Full, WSC: WSCAuto, Engine: bipartite.Dinic, Validate: false}
 }
 
+// ParseOptions returns DefaultOptions with the set-cover method, the
+// preprocessing level and the max-flow engine named as on the mc3solve and
+// mc3serve command lines (-wsc, -prep, -engine).
+func ParseOptions(wsc, prepLevel, engine string) (Options, error) {
+	opts := DefaultOptions()
+	switch wsc {
+	case "auto":
+		opts.WSC = WSCAuto
+	case "greedy":
+		opts.WSC = WSCGreedy
+	case "primal-dual":
+		opts.WSC = WSCPrimalDual
+	case "lp-rounding":
+		opts.WSC = WSCLPRounding
+	case "auto-lp":
+		opts.WSC = WSCAutoLP
+	default:
+		return opts, fmt.Errorf("unknown -wsc %q", wsc)
+	}
+	switch prepLevel {
+	case "full":
+		opts.Prep = prep.Full
+	case "minimal":
+		opts.Prep = prep.Minimal
+	default:
+		return opts, fmt.Errorf("unknown -prep %q", prepLevel)
+	}
+	switch engine {
+	case "dinic":
+		opts.Engine = bipartite.Dinic
+	case "push-relabel":
+		opts.Engine = bipartite.PushRelabel
+	case "capacity-scaling":
+		opts.Engine = bipartite.CapacityScaling
+	default:
+		return opts, fmt.Errorf("unknown -engine %q", engine)
+	}
+	return opts, nil
+}
+
 // Auto dispatches an instance to the paper-appropriate solver: the exact
 // KTwo solver when every query has length ≤ 2, General otherwise — the gate
 // behind every CLI's "auto" algorithm.
