@@ -95,7 +95,8 @@ serve:
 
 # Short fuzzing passes over the parser and the set algebra.
 fuzz:
-	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/textio/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 30s -fuzzminimizetime 2s ./internal/textio/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesJSON$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/textio/
 	$(GO) test -fuzz FuzzPropSetAlgebra -fuzztime 30s ./internal/core/
 
 clean:

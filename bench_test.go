@@ -6,15 +6,18 @@ package mc3
 // plus micro-benchmarks of the core pipeline stages.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/incr"
 	"repro/internal/prep"
 	"repro/internal/solver"
+	"repro/internal/textio"
 	"repro/internal/workload"
 )
 
@@ -98,6 +101,33 @@ func BenchmarkInstanceBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIngest measures the ingest layers of a request: a Private body
+// as mc3gen writes it (every classifier of C_Q priced) through textio.Read
+// and File.Build. Its allocs/op is a deterministic counter of the decode,
+// cost-model and C_Q enumeration work.
+func BenchmarkIngest(b *testing.B) {
+	inst, err := workload.Private(1).Instance()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := textio.Write(&body, textio.FromInstance(inst)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := textio.Read(bytes.NewReader(body.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := f.Build(core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,16 +22,8 @@ func NewPropSet(ids ...PropID) PropSet {
 	}
 	s := make(PropSet, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Deduplicate in place.
-	w := 1
-	for r := 1; r < len(s); r++ {
-		if s[r] != s[w-1] {
-			s[w] = s[r]
-			w++
-		}
-	}
-	return s[:w]
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Len returns the number of properties in the set — the paper's "length" of

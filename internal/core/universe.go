@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -68,11 +69,15 @@ func (u *Universe) Names() []string {
 
 // Set interns all names and returns them as a canonical PropSet.
 func (u *Universe) Set(names ...string) PropSet {
-	ids := make([]PropID, len(names))
-	for i, n := range names {
-		ids[i] = u.Intern(n)
+	if len(names) == 0 {
+		return nil
 	}
-	return NewPropSet(ids...)
+	s := make(PropSet, len(names))
+	for i, n := range names {
+		s[i] = u.Intern(n)
+	}
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // SetNames maps a PropSet back to sorted property names.

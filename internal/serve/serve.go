@@ -244,9 +244,12 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const bodyBufKeep = 1 << 20
 
 // readInstance reads and parses a request body holding an instance file,
-// staging it through a pooled buffer. The returned File does not alias the
-// buffer (textio.Read copies what it keeps).
-func (s *Server) readInstance(w http.ResponseWriter, r *http.Request) (*textio.File, error) {
+// staging it through a pooled buffer, under a "serve.decode" span. The
+// returned File does not alias the buffer (textio.Parse copies what it
+// keeps).
+func (s *Server) readInstance(w http.ResponseWriter, r *http.Request) (file *textio.File, err error) {
+	sp, _ := obs.StartChild(r.Context(), "serve.decode")
+	defer func() { sp.EndErr(err) }()
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= bodyBufKeep {
@@ -258,7 +261,8 @@ func (s *Server) readInstance(w http.ResponseWriter, r *http.Request) (*textio.F
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
 		return nil, err
 	}
-	return textio.Read(bytes.NewReader(buf.Bytes()))
+	sp.SetAttr(obs.Int("bytes", buf.Len()))
+	return textio.Parse(buf.Bytes())
 }
 
 // failParse maps an instance-parse error to its HTTP status and answers it.
@@ -282,11 +286,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.failParse(w, err)
 		return
 	}
+	build, _ := obs.StartChild(r.Context(), "serve.build")
 	_, inst, err := file.Build(core.Options{})
 	if err != nil {
+		build.EndErr(err)
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("build instance: %w", err))
 		return
 	}
+	build.SetAttr(obs.Int("queries", inst.NumQueries()), obs.Int("classifiers", inst.NumClassifiers()))
+	build.End()
 	fn, algoName := pickAlgorithm(s.cfg.Algo, inst)
 
 	// The solve runs under the request context — a dropped connection
@@ -314,6 +322,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	encode, _ := obs.StartChild(r.Context(), "serve.encode")
 	writeJSON(w, http.StatusOK, solveResponse{
 		Cost:         sol.Cost,
 		Classifiers:  textio.SolutionNames(inst, sol),
@@ -322,6 +331,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Algorithm:    algoName,
 		CacheHitRate: s.cache.Stats().HitRate(),
 	})
+	encode.End()
 }
 
 // statsResponse is the /stats document.

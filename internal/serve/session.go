@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incr"
+	"repro/internal/obs"
 )
 
 // The stateful session API, backed by internal/incr: a session owns a live
@@ -166,6 +167,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	build, _ := obs.StartChild(r.Context(), "serve.build")
 	u := core.NewUniverse()
 	opts := s.opts
 	opts.Validate = s.cfg.Validate
@@ -180,6 +182,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Metrics:  s.registry,
 	})
 	if err != nil {
+		build.EndErr(err)
 		s.fail(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -187,6 +190,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	for i, q := range file.Queries {
 		deltas[i] = incr.Add(q...)
 	}
+	build.End()
 	sess, err := s.sessions.add(algo, engine)
 	if err != nil {
 		// Backpressure, not a broken request: like the drain-path 503, the
@@ -201,7 +205,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.failApply(w, err)
 		return
 	}
+	encode, _ := obs.StartChild(r.Context(), "serve.encode")
 	writeJSON(w, http.StatusOK, sessionResponse{Session: sess.id, Algorithm: algo, Result: *res})
+	encode.End()
 }
 
 // handleDelta answers POST /session/{id}/delta.

@@ -90,6 +90,38 @@ type debugTraceDoc struct {
 	} `json:"spans"`
 }
 
+// TestIngestSpans checks that /solve and /load time their decode, build
+// and encode steps as children of the request's root span.
+func TestIngestSpans(t *testing.T) {
+	s := testServer(t, nil)
+	for _, path := range []string{"/solve", "/load"} {
+		reqID := "ingest" + strings.ReplaceAll(path, "/", "-")
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(paperInstance))
+		req.Header.Set("X-Request-ID", reqID)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d: %s", path, rec.Code, rec.Body)
+		}
+		rec = get(t, s, "/debug/trace/"+reqID)
+		var tr debugTraceDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+			t.Fatalf("trace JSON: %v\n%s", err, rec.Body)
+		}
+		children := map[string]int{}
+		for _, sp := range tr.Spans {
+			if sp.Parent == tr.Root {
+				children[sp.Name]++
+			}
+		}
+		for _, want := range []string{"serve.decode", "serve.build", "serve.encode"} {
+			if children[want] != 1 {
+				t.Errorf("POST %s: %d %q children of the root, want 1: have %v", path, children[want], want, children)
+			}
+		}
+	}
+}
+
 func TestDebugEndpoints(t *testing.T) {
 	s := testServer(t, nil)
 

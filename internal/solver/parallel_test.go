@@ -38,11 +38,8 @@ func TestForEachComponentPropagatesError(t *testing.T) {
 			}
 			return nil
 		})
-		if err == nil || !errors.Is(err, sentinel) && workers == 1 {
-			// Serial path returns the sentinel directly; parallel wraps it.
-			if err == nil {
-				t.Errorf("workers=%d: error not propagated", workers)
-			}
+		if !errors.Is(err, sentinel) {
+			t.Errorf("workers=%d: got %v, want an error matching the sentinel", workers, err)
 		}
 	}
 }

@@ -4,14 +4,38 @@
 // Classifiers without a listed cost get the default cost (omit the default
 // to make unlisted classifiers unavailable, mirroring the paper's treatment
 // of infinite weights).
+//
+// Parse and Read decode a File with a single-pass byte scanner. Its contract
+// is that it accepts exactly the documents that encoding/json's Decoder with
+// DisallowUnknownFields, followed by File validation, accepts, and yields the
+// same File:
+//
+//   - bytes after the top-level object are ignored;
+//   - field names match case-insensitively ("QUERIES" is "queries"), and
+//     an unknown field is an error;
+//   - a repeated field decodes into what the earlier occurrence left: costs
+//     objects merge, a repeated array replaces the earlier one element by
+//     element (a null element keeps the earlier element at its index), and
+//     a repeated cost key keeps its last cost;
+//   - null stores a zero cost and means absent for default_cost,
+//     uniform_cost, weights and queries;
+//   - numbers follow the JSON grammar (no "01", "+1" or ".5") and must fit
+//     a float64 ("1e400" is an error);
+//   - strings with escapes or non-ASCII bytes decode through encoding/json,
+//     so escapes, surrogate pairs and invalid UTF-8 (U+FFFD) decode as there.
+//
+// FuzzReadMatchesJSON checks the contract against encoding/json.
 package textio
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,13 +71,32 @@ func CostKey(names []string) string {
 	return strings.Join(sorted, KeySep)
 }
 
-// Read parses a File from JSON.
+// Read parses a File from the JSON document r holds; see Parse. A reader
+// that reports its length (a bytes.Reader, a strings.Reader, a file) is
+// read into one buffer of that size.
 func Read(r io.Reader) (*File, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var f File
-	if err := dec.Decode(&f); err != nil {
+	var buf bytes.Buffer
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		buf.Grow(r.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("textio: %w", err)
+	}
+	return Parse(buf.Bytes())
+}
+
+// Parse parses a File from a JSON document and validates it. The File does
+// not alias data: the caller may reuse data as soon as Parse returns.
+func Parse(data []byte) (*File, error) {
+	p := parser{data: data, names: make(map[string]string)}
+	var f File
+	if err := p.file(&f); err != nil {
+		return nil, err
 	}
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -170,20 +213,84 @@ func (f *File) CostModelFor(u *core.Universe) core.CostModel {
 	if f.DefaultCost != nil {
 		def = *f.DefaultCost
 	}
-	table := core.NewCostTable(def)
-	// Intern cost keys in sorted order, not map order: interning assigns
-	// property IDs, and two processes building a model from the same file
-	// must end with identical universes for their solves to tie-break
-	// identically (the cluster differential depends on this).
+	// When the universe already knows every name and no two keys name the
+	// same set, the table does not depend on the key order (the common case
+	// of a request whose queries were interned first), so the keys are
+	// priced in map order.
+	b := tablePricer{u: u, table: &core.CostTable{Costs: make(map[string]float64, len(f.Costs)), Default: def}}
+	inOrder := true
+	for key, c := range f.Costs {
+		if !b.add(key, c, false) {
+			inOrder = false
+			break
+		}
+	}
+	if inOrder {
+		return b.table
+	}
+	// Otherwise intern cost keys in sorted order, not map order: interning
+	// assigns property IDs, and two processes building a model from the same
+	// file must end with identical universes for their solves to tie-break
+	// identically (the cluster differential depends on this). Within a key
+	// the names intern left to right, and a later key naming the same set (a
+	// permuted or repeated name) overrides an earlier one.
 	keys := make([]string, 0, len(f.Costs))
 	for key := range f.Costs {
 		keys = append(keys, key)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	b.table = &core.CostTable{Costs: make(map[string]float64, len(f.Costs)), Default: def}
 	for _, key := range keys {
-		table.Set(u.Set(strings.Split(key, KeySep)...), f.Costs[key])
+		b.add(key, f.Costs[key], true)
 	}
-	return table
+	return b.table
+}
+
+// keyChunk bounds the storage the table keys are written into per
+// allocation; chunks grow with the table up to it.
+const keyChunk = 64 << 10
+
+// tablePricer prices cost keys into a table bound to a universe, reusing
+// its scratch across keys.
+type tablePricer struct {
+	u     *core.Universe
+	table *core.CostTable
+	ids   []core.PropID
+	buf   []byte
+	// keys holds the table's keys. It is never written past its capacity,
+	// so its bytes never move and each key is a substring of it: storing
+	// a key allocates nothing but a new chunk now and then.
+	keys strings.Builder
+}
+
+// add prices the set key names at cost c. With intern set it interns the
+// names u does not know; without, it gives up (false) on such a name, or
+// on a key naming a set the table already prices.
+func (b *tablePricer) add(key string, c float64, intern bool) bool {
+	b.ids = b.ids[:0]
+	for rest, more := key, true; more; {
+		var name string
+		name, rest, more = strings.Cut(rest, KeySep)
+		id, known := b.u.Lookup(name)
+		if !known {
+			if !intern {
+				return false
+			}
+			// A copy, so the universe does not keep the key alive.
+			id = b.u.Intern(strings.Clone(name))
+		}
+		b.ids = append(b.ids, id)
+	}
+	slices.Sort(b.ids)
+	b.buf = core.PropSet(slices.Compact(b.ids)).AppendKey(b.buf[:0])
+	if b.keys.Cap()-b.keys.Len() < len(b.buf) {
+		b.keys = strings.Builder{}
+		b.keys.Grow(max(len(b.buf), min(keyChunk, 8*len(b.table.Costs)+64)))
+	}
+	b.keys.Write(b.buf)
+	n := len(b.table.Costs)
+	b.table.Costs[b.keys.String()[b.keys.Len()-len(b.buf):]] = c
+	return intern || len(b.table.Costs) > n
 }
 
 // FromInstance captures an instance back into the file format, with every
